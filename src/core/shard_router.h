@@ -139,11 +139,6 @@ class ShardRouter {
   [[nodiscard]] std::unordered_map<ContainerId, VersionId> container_tags()
       const;
 
-  // The archival store as a FileContainerStore, single-shard repositories
-  // only — the RestoreTuner's feedback loop reads one store's IoStats and
-  // has no cross-shard story yet. nullptr for multi-shard or in-memory.
-  [[nodiscard]] FileContainerStore* file_store();
-
   // --- Observability ---
   // Single shard: the shard's own registry (bit-identical legacy metrics).
   // Multi shard: a router-owned registry holding cross-shard aggregates
@@ -158,9 +153,6 @@ class ShardRouter {
   void set_read_ahead(std::size_t depth, std::size_t in_flight = 1);
   [[nodiscard]] std::size_t read_ahead() const noexcept {
     return shards_[0]->read_ahead();
-  }
-  [[nodiscard]] std::size_t read_ahead_in_flight() const noexcept {
-    return shards_[0]->read_ahead_in_flight();
   }
   void set_io_tuning(const FileStoreTuning& tuning);
 

@@ -26,7 +26,6 @@
 #include "common/thread_annotations.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "storage/async_io.h"
 #include "storage/block_cache.h"
 #include "storage/container.h"
 #include "storage/fd_cache.h"
@@ -124,17 +123,24 @@ struct FileStoreTuning {
   // needed extents) instead of slurping the file. Format-2 containers and
   // any footer validation failure fall back to the slurp path either way.
   bool partial_reads = true;
-  // Async read backend for device reads (DESIGN.md §13): kAuto probes for
-  // io_uring and falls back to the thread-pool backend; kSync is the pre-PR
-  // sequential-pread behavior.
-  aio::Backend io_backend = aio::Backend::kAuto;
-  // In-flight ops per batch (uring SQ depth / pool width); 0 = default.
-  std::size_t io_depth = 0;
-  // Open container descriptors O_DIRECT and bounce through aligned buffers
-  // (FdCache::kDirectAlign): bypasses the page cache so the BlockCache is
-  // the only cache — measurement mode, off by default.
-  bool direct_io = false;
 };
+
+// Deterministic read-fault injection for tests (process-global, like
+// durable::CrashInjector). Every pread loop FileContainerStore runs draws
+// at most one fault on its first attempt: every `short_read_every_n`-th
+// loop is truncated to half its length, every `eintr_every_n`-th fails
+// once with EINTR. Both must heal transparently (DESIGN.md §13); 0
+// disables a fault. Setting a plan resets the injected counts.
+struct ReadFaultPlan {
+  std::uint32_t short_read_every_n = 0;
+  std::uint32_t eintr_every_n = 0;
+};
+struct ReadFaultCounts {
+  std::uint64_t short_reads = 0;
+  std::uint64_t eintrs = 0;
+};
+void set_read_fault_plan(const ReadFaultPlan& plan) noexcept;
+[[nodiscard]] ReadFaultCounts read_faults_injected() noexcept;
 
 // Thread-safety contract: read(), read_chunks(), read_verified(), put(),
 // write(), erase(), reserve_id() and stats() are safe to call from multiple
@@ -315,7 +321,6 @@ class FileContainerStore final : public ContainerStore {
   bool forget(ContainerId id) {
     fd_cache_.invalidate(id);
     block_cache_.invalidate(id);
-    io_->invalidate(static_cast<std::uint64_t>(id));
     MutexLock lock(mu_);
     return known_.erase(id) > 0;
   }
@@ -339,24 +344,8 @@ class FileContainerStore final : public ContainerStore {
     std::uint64_t block_cache_bytes = 0;
     std::uint64_t partial_reads = 0;  // reads served via the footer index
     std::uint64_t read_errors = 0;    // ReadError caught at the boundary
-    // Async backend counters (aio::BackendStats, DESIGN.md §13).
-    std::uint64_t io_batches = 0;
-    std::uint64_t io_reads = 0;
-    std::uint64_t io_submits = 0;
-    std::uint64_t io_short_retries = 0;
-    std::uint64_t io_eintr_retries = 0;
-    std::uint64_t io_registered_files = 0;
   };
   [[nodiscard]] IoPathStats io_stats() const;
-
-  // The resolved read backend ("sync" | "threads" | "uring" — what kAuto
-  // actually picked, not what was asked for).
-  [[nodiscard]] std::string_view io_backend_name() const noexcept {
-    return io_->name();
-  }
-  [[nodiscard]] aio::Backend io_backend() const noexcept {
-    return io_->kind();
-  }
 
  protected:
   void do_write(ContainerId id, Container&& container) override;
@@ -367,7 +356,7 @@ class FileContainerStore final : public ContainerStore {
   bool do_erase(ContainerId id) override;
 
  private:
-  // One extent of a batched device read (offset is file-absolute).
+  // One extent of a device read (offset is file-absolute).
   struct ExtentRead {
     std::uint64_t offset = 0;
     std::uint8_t* dst = nullptr;
@@ -379,12 +368,11 @@ class FileContainerStore final : public ContainerStore {
     MutexLock lock(mu_);
     return known_.contains(id);
   }
-  // Executes `reads` as one backend batch through `handle` (bouncing via
-  // aligned scratch when the descriptor is O_DIRECT). Throws ReadError on
-  // any per-op failure or EOF inside a requested range; returns the bytes
-  // physically transferred (≥ requested in direct mode — alignment pad).
+  // Reads every extent in order through `handle` with pread_exact. Throws
+  // ReadError on any failure or EOF inside a requested range; returns the
+  // bytes physically transferred.
   std::uint64_t read_extents(const FdCache::Handle& handle, ContainerId id,
-                             std::span<ExtentRead> reads);
+                             std::span<const ExtentRead> reads);
   // Whole-file read through the fd cache; throws ReadError on I/O failure.
   ReadResult slurp(ContainerId id);
   // Footer-index partial read; nullopt when the file is not format 3 or the
@@ -394,14 +382,13 @@ class FileContainerStore final : public ContainerStore {
 
   std::filesystem::path dir_;
   FileStoreTuning tuning_;
-  // Guards only the index map; the caches and io backend synchronize
-  // internally and are never acquired with mu_ held (kStoreIndex < kFdCache
-  // < kBlockCacheShard documents the would-be order regardless).
+  // Guards only the index map; the caches synchronize internally and are
+  // never acquired with mu_ held (kStoreIndex < kFdCache < kBlockCacheShard
+  // documents the would-be order regardless).
   mutable Mutex mu_{lockrank::kStoreIndex};
   std::unordered_map<ContainerId, bool> known_ HDS_GUARDED_BY(mu_);
   FdCache fd_cache_;
   BlockCache block_cache_;
-  std::unique_ptr<aio::AsyncIoBackend> io_;
   std::atomic<std::uint64_t> partial_reads_{0};
   std::atomic<std::uint64_t> read_errors_{0};
 };
